@@ -95,8 +95,8 @@ class TrafficProfile:
         ("orders", 0.25),
         ("parametric", 0.15),
     )
-    #: Worker counts requested by clients (fingerprints hash the *resolved*
-    #: partition count, so distinct requests here may still share entries).
+    #: Worker counts requested by clients: upper bounds on partitions, not
+    #: part of the fingerprint, so every count of one shape shares an entry.
     workers: tuple[int, ...] = (2, 4, 8)
     #: Bursty arrivals: bursts of ~``burst_mean`` requests with
     #: ``intra_gap_ms`` mean spacing, separated by ``inter_gap_ms`` lulls.
@@ -201,10 +201,10 @@ def generate_traffic(profile: TrafficProfile = TrafficProfile()) -> list[Traffic
 def unique_fingerprints(schedule: list[TrafficRequest]) -> set[str]:
     """The distinct cache keys a schedule touches.
 
-    Distinct ``(query, feature, workers)`` combinations can still collide —
-    worker counts that resolve to the same partition count share a
-    fingerprint by design — so tests assert DP-run counts against this, not
-    against naive tuple counting.
+    Distinct ``(query, feature, workers)`` combinations collide — the worker
+    count is not part of the fingerprint, and isomorphic queries share one —
+    so tests assert DP-run counts against this, not against naive tuple
+    counting.
     """
     return {
         fingerprint(request.query, request.settings, request.n_workers)

@@ -161,7 +161,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="optimize a batch of query files through the caching service",
     )
     serve.add_argument("queries", nargs="+", help="query JSON files")
-    serve.add_argument("--workers", type=int, default=4)
+    serve.add_argument(
+        "--workers",
+        type=int,
+        default=4,
+        help="upper bound on partitions per cache miss, capped by the "
+        "executor's slots: 1 for --pool serial, the pool size (also "
+        "--workers) for --pool persistent; not part of the cache key",
+    )
     serve.add_argument(
         "--space",
         choices=[space.value for space in PlanSpace],
@@ -301,7 +308,14 @@ def _build_parser() -> argparse.ArgumentParser:
         default=0,
         help="this shard's number (names its cache log and hello frame)",
     )
-    shard_server.add_argument("--workers", type=int, default=4)
+    shard_server.add_argument(
+        "--workers",
+        type=int,
+        default=4,
+        help="upper bound on partitions per cache miss, capped by the "
+        "executor's slots (1: a shard runs partitions in process); "
+        "not part of the cache key",
+    )
     shard_server.add_argument(
         "--space",
         choices=[space.value for space in PlanSpace],
@@ -373,7 +387,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="directory for per-shard persistent cache logs (shard-<i>.log); "
         "also what lets a restarted shard come back warm",
     )
-    shard_fleet.add_argument("--workers", type=int, default=4)
+    shard_fleet.add_argument(
+        "--workers",
+        type=int,
+        default=4,
+        help="forwarded to every shard-server: an upper bound on partitions "
+        "per cache miss, capped by the executor's slots (1 on a shard)",
+    )
     shard_fleet.add_argument(
         "--cache-size", type=int, default=256, help="plan-cache capacity per shard"
     )

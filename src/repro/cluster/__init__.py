@@ -24,6 +24,7 @@ from repro.cluster.executors import (
     RetryingPartitionExecutor,
     SerialPartitionExecutor,
     ThreadPoolPartitionExecutor,
+    executor_slots,
 )
 
 __all__ = [
@@ -47,4 +48,5 @@ __all__ = [
     "RetryingPartitionExecutor",
     "SerialPartitionExecutor",
     "ThreadPoolPartitionExecutor",
+    "executor_slots",
 ]

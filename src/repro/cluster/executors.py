@@ -13,11 +13,17 @@ run; these executors provide the options:
   ``multiprocessing``; each partition task is shipped (pickled) to another
   process, which mirrors a real shared-nothing deployment: the child rebuilds
   cost model and pruning from ``(query, settings)`` and shares no state.
+
+Every executor declares a read-only ``slots``: how many partition tasks it
+can run at the same time.  A service never splits a query into more
+partitions than its executor has slots (:func:`executor_slots`) — on one
+slot, extra partitions only add setup and duplicated work.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import os
 
 # Imported eagerly: referencing it lazily inside an ``except`` clause would
 # itself raise AttributeError (masking the real error) whenever
@@ -28,6 +34,22 @@ from concurrent.futures.process import BrokenProcessPool
 from repro.config import OptimizerSettings
 from repro.core.worker import PartitionResult, optimize_partition
 from repro.query.query import Query
+
+
+def executor_slots(executor: object) -> int:
+    """Partition tasks ``executor`` runs at once; 1 if it does not say."""
+    return getattr(executor, "slots", 1)
+
+
+def _resolve_max_workers(max_workers: int | None) -> int:
+    """The process count a ``ProcessPoolExecutor(max_workers)`` would start."""
+    if max_workers is None:
+        # Python 3.13 sizes default pools by the CPUs this process may use.
+        count = getattr(os, "process_cpu_count", os.cpu_count)()
+        return count or 1
+    if max_workers < 1:
+        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
+    return max_workers
 
 
 def _run_partition_task(
@@ -62,6 +84,11 @@ class RetryingPartitionExecutor:
         #: a wholesale inner-executor failure that re-runs all ``m`` tasks
         #: contributes ``m``, not 1.
         self.retries = 0
+
+    @property
+    def slots(self) -> int:
+        """The inner executor's slots; 1 when retries run inline."""
+        return executor_slots(self._inner) if self._inner is not None else 1
 
     def map_partitions(
         self, query: Query, n_partitions: int, settings: OptimizerSettings
@@ -102,6 +129,11 @@ class RetryingPartitionExecutor:
 class SerialPartitionExecutor:
     """Run all partitions sequentially in the calling process."""
 
+    @property
+    def slots(self) -> int:
+        """One: partitions run one after another."""
+        return 1
+
     def map_partitions(
         self, query: Query, n_partitions: int, settings: OptimizerSettings
     ) -> list[PartitionResult]:
@@ -116,6 +148,11 @@ class ThreadPoolPartitionExecutor:
 
     def __init__(self, max_workers: int | None = None) -> None:
         self._max_workers = max_workers
+
+    @property
+    def slots(self) -> int:
+        """One: the GIL serializes the DP, so extra threads add no slots."""
+        return 1
 
     def map_partitions(
         self, query: Query, n_partitions: int, settings: OptimizerSettings
@@ -145,7 +182,12 @@ class ProcessPoolPartitionExecutor:
     """
 
     def __init__(self, max_workers: int | None = None) -> None:
-        self._max_workers = max_workers
+        self._max_workers = _resolve_max_workers(max_workers)
+
+    @property
+    def slots(self) -> int:
+        """Worker processes per pool: the resolved ``max_workers``."""
+        return self._max_workers
 
     def map_partitions(
         self, query: Query, n_partitions: int, settings: OptimizerSettings
@@ -183,12 +225,18 @@ class PersistentProcessPoolExecutor:
     """
 
     def __init__(self, max_workers: int | None = None) -> None:
-        self._max_workers = max_workers
+        # Set first: the finalizer reads it even when validation below fails.
         self._pool: concurrent.futures.ProcessPoolExecutor | None = None
+        self._max_workers = _resolve_max_workers(max_workers)
         #: Times a pool of worker processes was (re)started.
         self.pools_started = 0
         #: Partition tasks dispatched over this executor's lifetime.
         self.tasks_run = 0
+
+    @property
+    def slots(self) -> int:
+        """Warm worker processes: the resolved ``max_workers``."""
+        return self._max_workers
 
     def _ensure_pool(self) -> concurrent.futures.ProcessPoolExecutor:
         if self._pool is None:

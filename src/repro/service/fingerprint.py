@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.config import OptimizerSettings
-from repro.core.constraints import usable_partitions
 from repro.query.query import Query
 from repro.query.schema import Table
 
@@ -260,20 +259,15 @@ def fingerprint_canonical(
 ) -> str:
     """Digest a precomputed canonical form (lets callers canonicalize once).
 
-    ``n_workers`` is hashed as the partition count the run would actually
-    use (:func:`~repro.core.constraints.usable_partitions`), not the raw
-    request: requests for 8, 9, and 12 workers on a query that clamps to 8
-    partitions produce identical runs and must share one cache entry.  The
-    canonical numbering carries the table count, so the resolution needs no
-    extra arguments.
+    ``n_workers`` is validated but not hashed: it is only an upper bound on
+    the partition count, and MPQ's final frontier does not depend on the
+    partition count (best cost and frontier costs exactly; a parametric
+    envelope within the pruning's 1e-9 relative tie slack).  Requests for
+    any worker count therefore share one cache entry and one flight.
     """
-    if n_workers is None:
-        resolved = None
-    else:
-        resolved = usable_partitions(
-            len(canonical.numbering), n_workers, settings.plan_space
-        )
-    payload = repr((canonical.encoding, _settings_signature(settings), resolved))
+    if n_workers is not None and n_workers < 1:
+        raise ValueError("need at least one worker")
+    payload = repr((canonical.encoding, _settings_signature(settings)))
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -282,11 +276,11 @@ def fingerprint(
     settings: OptimizerSettings,
     n_workers: int | None = None,
 ) -> str:
-    """Hex digest identifying ``(query, settings[, parallelism])`` up to relabeling.
+    """Hex digest identifying ``(query, settings)`` up to relabeling.
 
-    ``n_workers`` participates as its *resolved* partition count so that
-    cached per-run accounting (partition count, simulated timing) stays
-    faithful to the request, while requests whose worker counts clamp to the
-    same parallelism share one entry instead of duplicating runs and memory.
+    ``n_workers`` is accepted for callers that pass the request's worker
+    count, but it does not change the digest: ``workers`` is an upper bound
+    on the partition count, capped by the executor's slots, and one shape
+    is one cache entry whatever parallelism computed it.
     """
     return fingerprint_canonical(canonicalize(query), settings, n_workers)

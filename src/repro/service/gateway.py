@@ -160,7 +160,9 @@ class ShardedOptimizerGateway:
     Args:
         n_shards: number of independent :class:`OptimizerService` shards;
             each owns ``1/n_shards`` of the fingerprint space.
-        n_workers: default per-query parallelism (overridable per call).
+        n_workers: default upper bound on partitions per miss (overridable
+            per call), capped by each shard executor's ``slots``; not part
+            of the cache key, so every worker count shares one flight.
         settings: default :class:`~repro.config.OptimizerSettings`.
         executor_factory: called once per shard to build its partition
             executor (e.g. ``lambda: PersistentProcessPoolExecutor(4)``);

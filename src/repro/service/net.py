@@ -482,7 +482,9 @@ class NetworkOptimizerGateway:
             iterable of address specs (named ``shard-0`` … in order).
             Specs are ``unix:/path/to.sock`` or ``host:port``.
         settings: default :class:`OptimizerSettings` for requests.
-        n_workers: default per-query parallelism requested of shards.
+        n_workers: default upper bound on partitions per miss requested of
+            shards (the wire ``workers`` field); each shard caps it by its
+            executor's ``slots``, and it is not part of the cache key.
         connect_timeout_s / request_timeout_s: socket bounds; a shard that
             stops answering fails the request (and counts against its
             breaker) instead of hanging the client thread.

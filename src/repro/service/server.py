@@ -22,7 +22,9 @@ Protocol (all frames are strict-JSON objects):
   types: ``overloaded`` (admission control: in-flight optimizations at
   ``max_in_flight``; ``retry_after_s`` estimates one service time),
   ``draining`` (shutdown in progress), ``bad-request`` (malformed query or
-  settings), ``optimization-failed`` (the DP itself raised);
+  settings), ``optimization-failed`` (the DP itself raised).  ``workers``
+  is an upper bound on partitions per miss, capped by the executor's
+  slots; it is not part of the cache key;
 * **health** → ``{"ok": true, "status": "serving"|"draining",
   "in_flight": n, "shard_id": ...}``;
 * **snapshot** — cache-state shipping for live rebalancing, four modes:
@@ -86,7 +88,9 @@ class ShardServer:
         shard_id: this shard's name/number, echoed in the hello frame and
             health responses (purely observational; routing lives in the
             client's ring).
-        n_workers: default per-query parallelism of the embedded service.
+        n_workers: default upper bound on partitions per miss of the
+            embedded service; its serial executor has one slot, so misses
+            run unpartitioned whatever a request's ``workers`` says.
         settings: default :class:`OptimizerSettings` (requests carry their
             own settings; these fill in when a request omits them).
         cache_capacity: in-memory plan-cache capacity.

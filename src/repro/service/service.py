@@ -51,7 +51,7 @@ from repro.core.envelope import (
 )
 from repro.core.master import MasterResult, PartitionExecutor
 from repro.core.worker import PartitionResult, registry_generation
-from repro.cluster.executors import SerialPartitionExecutor
+from repro.cluster.executors import SerialPartitionExecutor, executor_slots
 from repro.cost.pruning import final_prune, make_pruning
 from repro.plans.plan import Plan, plan_tie_key
 from repro.query.query import Query
@@ -230,13 +230,20 @@ class OptimizerService:
     """A long-lived optimizer serving a stream of queries with plan caching.
 
     Args:
-        n_workers: default parallelism per query (overridable per call).
+        n_workers: default upper bound on the partitions per cache miss
+            (overridable per call).  A miss runs
+            ``usable_partitions(n, min(n_workers, executor.slots), space)``
+            partitions, and the bound is not part of the cache key: every
+            worker count of one shape shares one entry, whose
+            ``n_partitions`` is the count that computed it.
         settings: default :class:`~repro.config.OptimizerSettings`.
         executor: how partition tasks physically run.  Defaults to the
-            in-process serial executor (deterministic, zero setup); pass a
+            in-process serial executor (deterministic, zero setup, one slot,
+            so misses run unpartitioned); pass a
             :class:`~repro.cluster.executors.PersistentProcessPoolExecutor`
             for true parallelism with warm workers — ``optimize_batch`` then
-            batches all queries' partition tasks onto the one pool.
+            batches all queries' partition tasks onto the one pool.  An
+            executor without a ``slots`` attribute counts as one slot.
         cache_capacity: bound on resident cached fingerprints (LRU beyond).
         cache: a ready-made cache tier to serve through instead of the
             default in-memory LRU — e.g. a
@@ -415,9 +422,15 @@ class OptimizerService:
     def _run_many(
         self, tasks: Sequence[tuple[Query, int, OptimizerSettings]]
     ) -> list[list[PartitionResult]]:
-        """Run several queries' partition tasks, interleaved when possible."""
+        """Run several queries' partition tasks, interleaved when possible.
+
+        ``workers`` is an upper bound: a miss is split into no more
+        partitions than the executor runs at once, since partitions beyond
+        its slots run one after another and only add duplicated work.
+        """
+        slots = executor_slots(self.executor)
         partition_counts = [
-            usable_partitions(query.n_tables, workers, settings.plan_space)
+            usable_partitions(query.n_tables, min(workers, slots), settings.plan_space)
             for query, workers, settings in tasks
         ]
         submit = getattr(self.executor, "submit_partitions", None)

@@ -6,8 +6,8 @@ few hundred seeded random queries spanning every join-graph topology:
 
 * fingerprint invariance under relation relabeling, predicate reordering,
   and predicate endpoint swaps (none of which change query semantics);
-* worker-count coherence: two requested parallelism levels share a
-  fingerprint exactly when they resolve to the same partition count;
+* worker-count independence: every requested parallelism level shares
+  one fingerprint, since ``workers`` only bounds the partition count;
 * remap round-trips: relabeling a plan through a permutation and back is
   the identity, canonical numbering is a true permutation, and serving an
   isomorphic request yields plans in the requester's own numbering.
@@ -27,7 +27,6 @@ from repro.config import (
     PARAMETRIC_OBJECTIVES,
     OptimizerSettings,
 )
-from repro.core.constraints import usable_partitions
 from repro.core.serial import optimize_serial
 from repro.query.generator import SteinbrunnGenerator
 from repro.query.query import JoinGraphKind, Query
@@ -125,23 +124,21 @@ class TestFingerprintInvariance:
             }
             assert len(keys) == len(SETTINGS_VARIANTS)
 
-    def test_worker_counts_share_keys_iff_partitions_agree(self):
-        settings = OptimizerSettings()
+    def test_worker_counts_always_share_keys(self):
+        # ``workers`` is an upper bound on the partition count, not part of
+        # the key: MPQ's frontier does not depend on the partition count,
+        # so every worker count (and none) names the one cache entry.
         rng = random.Random(105)
         for index, query in enumerate(random_queries(100, seed=105)):
+            settings = SETTINGS_VARIANTS[index % len(SETTINGS_VARIANTS)]
             workers_a = rng.randint(1, 64)
             workers_b = rng.randint(1, 64)
-            partitions_a = usable_partitions(
-                query.n_tables, workers_a, settings.plan_space
+            key = fingerprint(query, settings)
+            assert fingerprint(query, settings, workers_a) == key, (
+                f"query #{index}: workers {workers_a} changed the key"
             )
-            partitions_b = usable_partitions(
-                query.n_tables, workers_b, settings.plan_space
-            )
-            key_a = fingerprint(query, settings, workers_a)
-            key_b = fingerprint(query, settings, workers_b)
-            assert (key_a == key_b) == (partitions_a == partitions_b), (
-                f"query #{index}: workers {workers_a} vs {workers_b} resolved "
-                f"to partitions {partitions_a} vs {partitions_b}"
+            assert fingerprint(query, settings, workers_b) == key, (
+                f"query #{index}: workers {workers_b} changed the key"
             )
 
     def test_memoized_canonicalization_matches_fresh(self):

@@ -76,29 +76,31 @@ class TestFingerprint:
         assert fingerprint(query, settings) != fingerprint(resel, settings)
         assert fingerprint(query, settings) != fingerprint(rewired, settings)
 
-    def test_sensitive_to_settings_and_workers(self):
+    def test_sensitive_to_settings_not_workers(self):
         query = make_manual_query([100, 200, 300], [(0, 1, 0.1), (1, 2, 0.2)])
         linear = OptimizerSettings(plan_space=PlanSpace.LINEAR)
         bushy = OptimizerSettings(plan_space=PlanSpace.BUSHY)
         multi = OptimizerSettings(objectives=MULTI_OBJECTIVE, alpha=2.0)
         assert fingerprint(query, linear) != fingerprint(query, bushy)
         assert fingerprint(query, linear) != fingerprint(query, multi)
-        # 1 worker and 2 workers resolve to different partition counts on a
-        # 3-table linear query (1 vs 2): distinct runs, distinct keys.
-        assert fingerprint(query, linear, 1) != fingerprint(query, linear, 2)
+        # 1 and 2 workers resolve to different partition counts on a
+        # 3-table linear query, but the frontier is the same: one key.
+        assert fingerprint(query, linear, 1) == fingerprint(query, linear, 2)
 
-    def test_equivalent_parallelism_shares_a_fingerprint(self):
-        # Regression: the fingerprint must hash the *resolved* partition
-        # count, not the raw worker request.  A 6-table linear query admits
-        # at most 2^(6//2) = 8 partitions, so requests for 8, 9, and 12
-        # workers all run identically and must share one cache key —
-        # previously each produced a spurious miss and a duplicate entry.
+    def test_every_worker_count_shares_a_fingerprint(self):
+        # ``workers`` bounds the partition count and leaves the key: 1, 2,
+        # 4, 8 and 12 workers (8 is this 6-table query's linear maximum)
+        # and no worker count at all name one cache entry.
         query = SteinbrunnGenerator(29).query(6)
         settings = OptimizerSettings()
-        reference = fingerprint(query, settings, 8)
-        assert fingerprint(query, settings, 9) == reference
-        assert fingerprint(query, settings, 12) == reference
-        assert fingerprint(query, settings, 4) != reference
+        reference = fingerprint(query, settings)
+        for workers in (1, 2, 4, 8, 12):
+            assert fingerprint(query, settings, workers) == reference
+
+    def test_fingerprint_rejects_zero_workers(self):
+        query = SteinbrunnGenerator(29).query(6)
+        with pytest.raises(ValueError):
+            fingerprint(query, OptimizerSettings(), 0)
 
     def test_invariant_with_partial_symmetry(self):
         # Regression: the individualization target must be picked by a
@@ -211,12 +213,12 @@ class TestOptimizerService:
         assert back == plan
 
     def test_equivalent_parallelism_shares_one_cache_entry(self):
-        # workers=8, 9, and 12 all clamp to 8 partitions on a 6-table linear
-        # query: one optimization, one resident entry, two cache hits.
+        # Any worker count is an upper bound on one shape's partitions: one
+        # optimization, one resident entry, hits for every other count.
         query = SteinbrunnGenerator(30).query(6)
         service = OptimizerService(n_workers=8)
         first = service.optimize(query)
-        for workers in (9, 12):
+        for workers in (1, 2, 4, 9, 12):
             served = service.optimize(query, n_workers=workers)
             assert served.cached
             assert served.fingerprint == first.fingerprint
