@@ -286,7 +286,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=0.0,
         help="with --connect: fire a duplicate request at the next ring "
         "owner when the primary shard has not answered within this floor "
-        "(scaled up by its latency EWMA); first usable response wins. "
+        "(scaled up by its latency EWMA), or refuses it sooner "
+        "(overloaded, draining, unreachable); first usable response wins. "
         "0 (default) disables hedging",
     )
     serve.add_argument(

@@ -24,7 +24,6 @@ from repro.cluster.executors import (
     RetryingPartitionExecutor,
     SerialPartitionExecutor,
     ThreadPoolPartitionExecutor,
-    executor_slots,
 )
 
 __all__ = [
@@ -48,5 +47,4 @@ __all__ = [
     "RetryingPartitionExecutor",
     "SerialPartitionExecutor",
     "ThreadPoolPartitionExecutor",
-    "executor_slots",
 ]

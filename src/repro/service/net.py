@@ -33,9 +33,10 @@ is the front door:
   :meth:`~NetworkOptimizerGateway.drain` gracefully quiesces every shard
   (stop accepting, finish in-flight, flush cache logs) before shutdown.
   With ``hedge_multiplier > 0`` the router also *hedges*: a primary that
-  blows its EWMA-derived latency budget gets a duplicate request fired at
-  the key's next ring owner, first usable response wins, and the loser
-  finishes its round trip in the background (never interrupted mid-frame).
+  blows its EWMA-derived latency budget, or refuses the request (overloaded,
+  draining or unreachable), gets a duplicate request fired at the key's
+  next ring owner, first usable response wins, and the loser finishes its
+  round trip in the background (never interrupted mid-frame).
 
 Plans come back in the *requester's* table numbering — the full query ships
 with the request, so the shard optimizes (or cache-remaps) directly into
@@ -504,13 +505,14 @@ class NetworkOptimizerGateway:
         ring_replicas: virtual nodes per shard on the consistent-hash ring.
         max_frame_bytes: frame-size bound in both directions.
         hedge_multiplier: > 0 enables request hedging: when the primary
-            shard has not answered within
-            ``max(hedge_min_s, hedge_multiplier * primary's latency EWMA)``,
-            a duplicate request fires at the key's *next* distinct ring
-            owner and the first usable response wins.  The loser is never
-            interrupted mid-frame — its round trip completes on its own
-            socket and the connection returns to its pool — so a hedge can
-            never tear a frame.  0 (the default) disables hedging, keeping
+            shard has not answered within ``max(hedge_min_s,
+            hedge_multiplier * the faster replica's latency EWMA)``, or
+            refuses the request sooner (overloaded, draining or
+            unreachable), a duplicate request fires at the key's *next*
+            distinct ring owner and the first usable response wins.  The
+            loser is never interrupted mid-frame — its round trip completes
+            on its own socket and the connection returns to its pool — so a
+            hedge can never tear a frame.  0 (the default) disables hedging, keeping
             the one-DP-run-per-fingerprint invariant strict; with hedging
             on, a fired hedge may warm the same fingerprint on a second
             shard (that is the deliberate trade: duplicate work for a
@@ -760,11 +762,16 @@ class NetworkOptimizerGateway:
 
         The primary runs in a helper thread while this thread waits out the
         EWMA-derived budget; on expiry the same request fires at the next
-        ring owner and the first *usable* (``ok``) response wins.  The loser
-        is cancelled safely by never being interrupted: its round trip
-        completes on its own pooled socket in the background and the result
-        is discarded, so no frame is ever torn mid-stream and the
-        connection returns to its pool for the next request.
+        ring owner and the first *usable* (``ok``) response wins.  A primary
+        that *refuses* within the budget (overloaded, draining or
+        unreachable, see :meth:`_refused`) is hedged at once: the refusal
+        says nothing about the answer, and the caller's alternative is to
+        sleep out the refusing shard's ``retry_after_s`` while a replica
+        sits idle.  The loser is cancelled safely by never being
+        interrupted: its round trip completes on its own pooled socket in
+        the background and the result is discarded, so no frame is ever
+        torn mid-stream and the connection returns to its pool for the
+        next request.
         """
         import queue as queue_module
 
@@ -790,13 +797,17 @@ class NetworkOptimizerGateway:
                 responses.get(timeout=self._hedge_budget_s(primary, secondary))
             ]
         except queue_module.Empty:
+            outcomes = []
+        if outcomes and not self._refused(outcomes[0]):
+            winner = outcomes[0]
+        else:
             with self._lock:
                 self._hedged += 1
             threading.Thread(
                 target=run, args=(secondary,), name="net-hedge", daemon=True
             ).start()
-            outcomes = [responses.get()]
-            if not self._usable(outcomes[0]):
+            outcomes.append(responses.get())
+            if len(outcomes) == 1 and not self._usable(outcomes[0]):
                 # The faster responder was an error; the slower one may
                 # still carry the answer.  Bounded by the socket timeouts.
                 outcomes.append(responses.get())
@@ -804,16 +815,27 @@ class NetworkOptimizerGateway:
             if winner[0] is secondary and self._usable(winner):
                 with self._lock:
                     self._hedged_wins += 1
-            link, response, error = winner
-            if error is not None:
-                raise error
-            assert response is not None
-            return link.name, response
-        link, response, error = outcomes[0]
+        link, response, error = winner
         if error is not None:
             raise error
         assert response is not None
         return link.name, response
+
+    @staticmethod
+    def _refused(
+        outcome: tuple[_ShardLink, dict[str, Any] | None, Exception | None],
+    ) -> bool:
+        """Whether the shard declined the request rather than answering it:
+        an overload or drain rejection, or a transport failure / open
+        breaker.  An answer — a plan or a typed optimization error — is
+        never a refusal, so a bad query is not sent to a second shard."""
+        __, response, error = outcome
+        if error is not None:
+            return isinstance(error, ShardUnavailableError)
+        assert response is not None
+        if response.get("ok"):
+            return False
+        return (response.get("error") or {}).get("type") in ("overloaded", "draining")
 
     @staticmethod
     def _usable(

@@ -53,6 +53,7 @@ from repro.service import (
     ShardServer,
     ShardUnavailableError,
 )
+from repro.service.fingerprint import fingerprint
 from repro.service.net import result_to_wire
 
 
@@ -611,6 +612,64 @@ class TestHedging:
                 shard["optimizations"] for shard in stats["shards"].values()
             )
             assert per_shard == len(queries)
+
+    def test_refusing_primary_is_hedged_without_waiting(self, tmp_path):
+        """A primary that answers ``overloaded`` inside the budget is hedged
+        at once: the caller gets the replica's answer instead of the
+        refusal (or a sleep of the refusing shard's ``retry_after_s``)."""
+        query, filler = SteinbrunnGenerator(53).queries(2, n_tables=4)
+        with (
+            ServerThread(f"unix:{tmp_path / 'a.sock'}", n_workers=2) as alpha,
+            ServerThread(f"unix:{tmp_path / 'b.sock'}", n_workers=2) as beta,
+        ):
+            servers = {"alpha": alpha, "beta": beta}
+            shards = {
+                name: f"unix:{server.server.address.path}"
+                for name, server in servers.items()
+            }
+            # A 30 s budget never expires here: any hedge is the refusal's.
+            with NetworkOptimizerGateway(
+                shards, n_workers=2, hedge_multiplier=2.0, hedge_min_s=30.0
+            ) as gateway:
+                primary = servers[
+                    gateway.shard_for(
+                        fingerprint(query, gateway.settings, gateway.n_workers)
+                    )
+                ]
+                # Degrade the key's owner and fill its one admission slot.
+                primary.server.inject_latency_s = 2.0
+                primary.server.max_in_flight = 1
+                occupier = threading.Thread(
+                    target=request,
+                    args=(primary, {"op": "optimize", "query": query_to_dict(filler)}),
+                    daemon=True,
+                )
+                occupier.start()
+                deadline = time.monotonic() + 10.0
+                while request(primary, {"op": "health"})["in_flight"] < 1:
+                    assert time.monotonic() < deadline, "occupier never admitted"
+                    time.sleep(0.01)
+                started = time.monotonic()
+                result = gateway.optimize(query)
+                elapsed = time.monotonic() - started
+                stats = gateway.stats()
+                occupier.join(10.0)
+            assert result.plans
+            assert elapsed < 1.0, elapsed
+            assert stats["hedged"] == 1
+            assert stats["hedged_wins"] == 1
+
+    def test_only_refusals_trigger_an_early_hedge(self):
+        refused = NetworkOptimizerGateway._refused
+        link = object()
+        for kind in ("overloaded", "draining"):
+            assert refused((link, {"ok": False, "error": {"type": kind}}, None))
+        assert refused((link, None, ShardUnavailableError("s", "down", 0.1)))
+        # Answers, even failed ones, are not re-asked of a second shard.
+        assert not refused((link, {"ok": True, "result": {}}, None))
+        for kind in ("bad-request", "optimization-failed", "protocol"):
+            assert not refused((link, {"ok": False, "error": {"type": kind}}, None))
+        assert not refused((link, None, RuntimeError("boom")))
 
     def test_hedge_parameters_validated(self):
         with pytest.raises(ValueError):
